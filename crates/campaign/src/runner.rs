@@ -1,9 +1,8 @@
 //! The sharded, resumable campaign runner.
 //!
-//! Work distribution follows the sdb-fleet engine: one atomic index over
-//! the pending `(cell, device)` unit list, scoped worker threads, shard-
-//! local accumulation, and a post-join sort by `(cell, device)` — so the
-//! outcome matrix is byte-identical for any thread count.
+//! Work distribution is [`sdb_core::shard_map`] over the pending
+//! `(cell, device)` unit list, which returns records in unit order — so
+//! the outcome matrix is byte-identical for any thread count.
 //!
 //! Resume: with a checkpoint path, completed units are appended to the
 //! log as they finish (each line round-trips the device's end-state
@@ -15,27 +14,21 @@
 use crate::checkpoint;
 use crate::report::{CampaignReport, DeviceRecord};
 use crate::spec::{self, CampaignSpec, Cell, CellPolicy};
-use sdb_chaos::{FaultPlan, InvariantChecker, PlanExecutor};
-use sdb_core::policy::DischargeDirective;
+use sdb_chaos::{FaultPlan, InvariantChecker, InvariantReport, PlanExecutor};
+use sdb_core::lookahead::LookaheadPolicy;
 use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
 use sdb_core::scheduler::{
-    run_trace_linked_planned_with, run_trace_linked_with, run_trace_observed, run_trace_planned,
-    LinkedSimOptions, SimOptions, SimResult,
+    run_trace_linked_planned_with, run_trace_with, LinkedSimOptions, SimOptions, SimResult,
 };
+use sdb_core::shard_map;
 use sdb_emulator::link::Link;
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
-use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_fleet::run_trace_soa;
 use sdb_fleet::spec::WorkloadSpec;
-use sdb_fleet::EngineKind;
-use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
+use sdb_fleet::{soa_lane, EngineKind, PolicySpec};
 use sdb_rng::derive_seed;
-use sdb_workloads::traces::Trace;
 use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The greedy policy's fixed discharge-directive blend.
@@ -49,14 +42,6 @@ pub const PLANNER_REPLAN_S: f64 = 600.0;
 
 /// Status heartbeat period on the linked (faulted) driver, seconds.
 pub const STATUS_PERIOD_S: f64 = 30.0;
-
-/// Seed offset separating planner history days from the evaluated trace
-/// (same salt as the fleet engine, so campaign planner cells and fleet
-/// planner cohorts train the same way).
-const PLANNER_HISTORY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// History days the planned policy's forecaster folds in.
-const PLANNER_HISTORY_DAYS: u64 = 7;
 
 /// Runner knobs that do not affect the outcome matrix.
 #[derive(Debug, Clone, Default)]
@@ -144,70 +129,45 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
     };
 
     let claim_budget = opts.stop_after.unwrap_or(usize::MAX);
-    let threads = opts.threads.max(1);
-    let next = AtomicUsize::new(0);
-    let writer = writer.as_ref();
-    let cells_ref = &cells;
-    let pending_ref = &pending;
+    let (fresh, _) = shard_map(
+        pending.len().min(claim_budget),
+        opts.threads,
+        |_| (),
+        |(), i| {
+            let (cell_idx, device) = pending[i];
+            let cell = &cells[cell_idx];
+            let prof_dev = if sdb_prof::enabled() {
+                sdb_prof::device_scope(sdb_prof::cohort_id(&cell.seed_key()))
+            } else {
+                sdb_prof::device_scope(0)
+            };
+            let rec = run_cell_device(spec, cell, device)?;
+            drop(prof_dev);
+            if let Some(w) = &writer {
+                let line = checkpoint::record_line(&rec);
+                let mut f = w.lock().expect("checkpoint writer lock");
+                f.write_all(line.as_bytes())
+                    .and_then(|()| f.flush())
+                    .map_err(|e| format!("append checkpoint: {e}"))?;
+            }
+            Ok(rec)
+        },
+    )?;
 
-    let shards: Vec<Vec<DeviceRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || -> Result<Vec<DeviceRecord>, String> {
-                    sdb_prof::set_shard(shard as u16);
-                    let mut out = Vec::with_capacity(pending_ref.len() / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pending_ref.len().min(claim_budget) {
-                            break;
-                        }
-                        let (cell_idx, device) = pending_ref[i];
-                        let cell = &cells_ref[cell_idx];
-                        let prof_dev = if sdb_prof::enabled() {
-                            sdb_prof::device_scope(sdb_prof::cohort_id(&cell.seed_key()))
-                        } else {
-                            sdb_prof::device_scope(0)
-                        };
-                        let rec = run_cell_device(spec, cell, device)?;
-                        drop(prof_dev);
-                        if let Some(w) = writer {
-                            let line = checkpoint::record_line(&rec);
-                            let mut f = w.lock().expect("checkpoint writer lock");
-                            f.write_all(line.as_bytes())
-                                .and_then(|()| f.flush())
-                                .map_err(|e| format!("append checkpoint: {e}"))?;
-                        }
-                        out.push(rec);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "campaign worker panicked".to_owned())?
-            })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-
-    let fresh: usize = shards.iter().map(Vec::len).sum();
     if claim_budget < pending.len() {
         drop(prof_run);
         if sdb_prof::enabled() {
             sdb_prof::flush_thread();
         }
         return Ok(CampaignRun::Interrupted {
-            completed: done.len() + fresh,
+            completed: done.len() + fresh.len(),
             total,
         });
     }
 
     // Deterministic merge: resumed + fresh records, re-sorted by unit.
     let mut records = done;
-    records.extend(shards.into_iter().flatten());
+    records.extend(fresh);
     records.sort_by_key(|r| (r.cell, r.device));
     debug_assert_eq!(records.len(), total);
     let report = CampaignReport::from_records(spec, &cells, records);
@@ -218,68 +178,12 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<Campa
     Ok(CampaignRun::Complete(Box::new(report)))
 }
 
-/// The per-cell policy driver.
-enum PolicyDriver {
-    Greedy,
-    Planner(Box<Planner>),
-}
-
-fn make_policy(
-    cell: &Cell,
-    scenario: &spec::Scenario,
-    workload: &WorkloadSpec,
-    seed: u64,
-    trace: &std::sync::Arc<Trace>,
-) -> PolicyDriver {
-    match cell.policy {
-        CellPolicy::Greedy => PolicyDriver::Greedy,
-        CellPolicy::Planned => {
-            let history: Vec<std::sync::Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
-                .map(|k| workload.build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT))))
-                .collect();
-            let forecaster =
-                HistoryForecaster::from_history(history.iter().map(std::sync::Arc::as_ref), 0.3);
-            let cfg = PlannerConfig {
-                horizon_s: PLANNER_HORIZON_S,
-                replan_period_s: PLANNER_REPLAN_S,
-                update_period_s: scenario.update_period_s,
-                ..PlannerConfig::default()
-            };
-            PolicyDriver::Planner(Box::new(Planner::new(cfg, Box::new(forecaster))))
-        }
-        CellPolicy::Oracle => {
-            let cfg = PlannerConfig {
-                candidates: 17,
-                update_period_s: scenario.update_period_s,
-                ..PlannerConfig::default()
-            };
-            PolicyDriver::Planner(Box::new(Planner::oracle(cfg, std::sync::Arc::clone(trace))))
-        }
-    }
-}
-
-fn build_pack(template: &sdb_fleet::PackTemplate) -> Microcontroller {
-    let mut builder = PackBuilder::new();
-    for slot in &template.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    builder.build()
-}
-
-/// Whether the pack qualifies for the SoA fast path (no thermal cells —
-/// mirrors the fleet engine's eligibility rule).
-fn soa_eligible(micro: &Microcontroller) -> bool {
-    !micro.cells().iter().any(|c| c.temperature_c().is_some())
-}
-
-#[allow(clippy::too_many_arguments)]
 fn record_from(
     cell: &Cell,
     device: u64,
     result: &SimResult,
     micro: &Microcontroller,
-    violations: u64,
-    first_violation: Option<String>,
+    tally: InvariantReport,
     faults_injected: u64,
     ff_ticks: u64,
 ) -> DeviceRecord {
@@ -293,10 +197,10 @@ fn record_from(
         loss_j: result.total_loss_j(),
         mean_final_soc: result.final_soc.iter().sum::<f64>() / n,
         browned_out: result.first_brownout_s.is_some(),
-        violations,
+        violations: tally.violation_count,
         faults_injected,
         ff_ticks,
-        first_violation,
+        first_violation: tally.violations.first().map(ToString::to_string),
         snapshot: micro.snapshot().to_bytes(),
     }
 }
@@ -314,13 +218,16 @@ fn record_from(
 ///   fast-forward by construction, so the engines are digest-identical
 ///   here and the matrix records that fact instead of pretending the
 ///   axis doesn't exist.
-/// * **Fault-free greedy SoA cells** on a non-thermal pack take the
-///   hybrid [`run_trace_soa`] fast path (end-state invariant check; the
-///   fast-forward stretches have no step hook).
-/// * **Everything else** runs the scalar driver with per-step invariant
-///   checks; planner policies fall back to scalar under the SoA engine
-///   exactly as the fleet engine does, so those engine pairs are also
-///   digest-identical.
+/// * **Fault-free cells** run the direct driver with per-step invariant
+///   checks. Under the SoA engine, cells that pass the fleet engine's
+///   eligibility rule ([`soa_lane`]: greedy policy, non-thermal pack)
+///   fast-forward their quiescent stretches (the fast-forwarded ticks
+///   have no step report, so only the scalar ticks get step checks);
+///   planner policies fall back to scalar exactly as the fleet engine
+///   does, so those engine pairs are digest-identical.
+///
+/// Planner cells of either driver get their planner from
+/// [`PolicySpec::install`], the fleet engine's constructor.
 ///
 /// # Errors
 ///
@@ -343,122 +250,84 @@ pub fn run_cell_device(
     let trace = workload.build(seed);
     let sim = SimOptions::default();
 
-    let micro = build_pack(&template);
+    let faulted = intensity > 0.0;
+    let mut micro = template.build();
     let n = micro.battery_count();
     let mut runtime = SdbRuntime::new(n);
     runtime.set_update_period(scenario.update_period_s);
-    let mut policy = make_policy(cell, &scenario, &workload, seed, &trace);
+    if faulted {
+        runtime.enable_resilience(ResilienceConfig::default());
+    }
+    let policy = match cell.policy {
+        CellPolicy::Greedy => PolicySpec::Blend(GREEDY_BLEND),
+        CellPolicy::Planned => PolicySpec::Planned {
+            horizon_s: PLANNER_HORIZON_S,
+            replan_s: PLANNER_REPLAN_S,
+        },
+        CellPolicy::Oracle => PolicySpec::Oracle,
+    };
+    let mut planner = policy.install(
+        &mut runtime,
+        &workload,
+        seed,
+        &trace,
+        scenario.update_period_s,
+    );
+    let planner = planner.as_mut().map(|p| p as &mut dyn LookaheadPolicy);
+    let mut checker = InvariantChecker::for_micro(&micro);
 
-    if intensity > 0.0 {
+    if faulted {
         // Linked chaos driver (both engines; see dispatch docs above).
         let mut link = Link::ideal(micro);
         link.seed_faults(derive_seed(seed, 1));
-        runtime.enable_resilience(ResilienceConfig::default());
         let plan = FaultPlan::generate(derive_seed(seed, 2), trace.duration_s(), intensity, n);
         let mut exec = PlanExecutor::new(plan);
-        let mut checker = InvariantChecker::for_micro(link.micro());
         let opts = LinkedSimOptions {
             sim,
             status_period_s: STATUS_PERIOD_S,
         };
-        let result = match &mut policy {
-            PolicyDriver::Greedy => {
-                runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-                run_trace_linked_with(
-                    &mut link,
-                    &mut runtime,
-                    &trace,
-                    &opts,
-                    |t, l| exec.apply(t, l),
-                    |t, l, r| {
-                        checker.check_step(t, r);
-                        checker.check_micro(t, l.micro());
-                    },
-                )
-            }
-            PolicyDriver::Planner(planner) => run_trace_linked_planned_with(
-                &mut link,
-                &mut runtime,
-                &trace,
-                &opts,
-                planner.as_mut(),
-                |t, l| exec.apply(t, l),
-                |t, l, r| {
-                    checker.check_step(t, r);
-                    checker.check_micro(t, l.micro());
-                },
-            ),
-        };
-        let tally = checker.finish();
+        let result = run_trace_linked_planned_with(
+            &mut link,
+            &mut runtime,
+            &trace,
+            &opts,
+            planner,
+            |t, l| exec.apply(t, l),
+            |t, l, r| {
+                checker.check_step(t, r);
+                checker.check_micro(t, l.micro());
+            },
+        );
         return Ok(record_from(
             cell,
             device,
             &result,
             link.micro(),
-            tally.violation_count,
-            tally.violations.first().map(ToString::to_string),
+            checker.finish(),
             exec.injected(),
             0,
         ));
     }
 
-    let mut micro = micro;
-    let (result, violations, first_violation, ff_ticks) = match &mut policy {
-        PolicyDriver::Greedy if cell.engine == EngineKind::Soa && soa_eligible(&micro) => {
-            runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-            let mut soa = SoaCohort::new(&micro, 1, QuiescenceConfig::default());
-            let (result, ff) = run_trace_soa(&mut micro, &mut runtime, &trace, &sim, &mut soa);
-            // Fast-forwarded stretches have no step hook; the invariant
-            // surface here is the end state.
-            let mut checker = InvariantChecker::for_micro(&micro);
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                ff,
-            )
-        }
-        PolicyDriver::Greedy => {
-            runtime.set_discharge_directive(DischargeDirective::new(GREEDY_BLEND));
-            let mut checker = InvariantChecker::for_micro(&micro);
-            let result = run_trace_observed(&mut micro, &mut runtime, &trace, &sim, |t, r| {
-                checker.check_step(t, r);
-            });
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                0,
-            )
-        }
-        PolicyDriver::Planner(planner) => {
-            // Planner cells run the scalar driver under either engine
-            // (the SoA fast path serves greedy policies only, as in the
-            // fleet engine) — their engine pairs are digest-identical.
-            let mut checker = InvariantChecker::for_micro(&micro);
-            let result =
-                run_trace_planned(&mut micro, &mut runtime, &trace, &sim, planner.as_mut());
-            checker.check_micro(result.simulated_s, &micro);
-            let tally = checker.finish();
-            (
-                result,
-                tally.violation_count,
-                tally.violations.first().map(ToString::to_string),
-                0,
-            )
-        }
-    };
+    let mut lane = (cell.engine == EngineKind::Soa)
+        .then(|| soa_lane(policy, &micro))
+        .flatten();
+    let (result, ff_ticks) = run_trace_with(
+        &mut micro,
+        &mut runtime,
+        &trace,
+        &sim,
+        planner,
+        lane.as_mut(),
+        |t, r| checker.check_step(t, r),
+    );
+    checker.check_micro(result.simulated_s, &micro);
     Ok(record_from(
         cell,
         device,
         &result,
         &micro,
-        violations,
-        first_violation,
+        checker.finish(),
         0,
         ff_ticks,
     ))

@@ -3,10 +3,9 @@
 //! A campaign runs `devices` independent chaos simulations — each a pure
 //! function of `(spec, device index)`: the device's fault plan, link
 //! fault RNG, and workload all derive from `derive_seed(master_seed,
-//! device)`. Work distribution follows the sdb-fleet engine (one atomic
-//! work index, scoped worker threads, shard-local accumulation, merge
-//! sorted by device), so the report — text and JSON — is byte-identical
-//! for any thread count.
+//! device)`. Work distribution is [`sdb_core::shard_map`], which returns
+//! outcomes in device order, so the report — text and JSON — is
+//! byte-identical for any thread count.
 
 use crate::invariant::InvariantChecker;
 use crate::plan::{FaultPlan, PlanExecutor, FAULT_CLASSES};
@@ -14,13 +13,13 @@ use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::spec::BatterySpec;
 use sdb_core::runtime::{ResilienceConfig, SdbRuntime};
 use sdb_core::scheduler::{run_trace_linked_with, LinkedSimOptions, SimOptions};
+use sdb_core::shard_map;
 use sdb_emulator::link::Link;
 use sdb_emulator::pack::PackBuilder;
 use sdb_observe::{EventSink, MetricsRegistry, ObsEvent, Observer};
 use sdb_rng::derive_seed;
 use sdb_workloads::traces::Trace;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Parameters of one chaos campaign.
@@ -401,38 +400,17 @@ fn run_campaign_inner(
     if spec.horizon_s <= 0.0 || spec.horizon_s.is_nan() {
         return Err(format!("horizon {} s must be positive", spec.horizon_s));
     }
-    let threads = threads.max(1);
     let prof_run = sdb_prof::scope(sdb_prof::Phase::ChaosRun);
-    let next = AtomicUsize::new(0);
-    let shards: Vec<Vec<ChaosOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || {
-                    sdb_prof::set_shard(shard as u16);
-                    let prof_cohort = sdb_prof::enabled().then(|| sdb_prof::cohort_id("chaos"));
-                    let mut outcomes = Vec::with_capacity(spec.devices / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= spec.devices {
-                            break;
-                        }
-                        let prof_dev = sdb_prof::device_scope(prof_cohort.unwrap_or(0));
-                        outcomes.push(run_device(spec, i as u64, registry));
-                        drop(prof_dev);
-                    }
-                    outcomes
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "chaos worker panicked".to_owned()))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-
-    let mut outcomes: Vec<ChaosOutcome> = shards.into_iter().flatten().collect();
-    outcomes.sort_unstable_by_key(|o| o.device);
+    let prof_cohort = sdb_prof::enabled().then(|| sdb_prof::cohort_id("chaos"));
+    let (outcomes, _) = shard_map(
+        spec.devices,
+        threads,
+        |_| (),
+        |(), i| {
+            let _prof_dev = sdb_prof::device_scope(prof_cohort.unwrap_or(0));
+            Ok(run_device(spec, i as u64, registry))
+        },
+    )?;
     let report = CampaignReport::from_outcomes(spec, outcomes);
     drop(prof_run);
     if sdb_prof::enabled() {

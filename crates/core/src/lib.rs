@@ -20,6 +20,8 @@
 //! * [`scheduler`] — the simulation driver coupling runtime + emulator +
 //!   workload traces, with energy and depletion bookkeeping and an
 //!   observer hook.
+//! * [`shard`] — [`shard::shard_map`], the deterministic sharded runner
+//!   the multi-device drivers (fleet, chaos, campaign) share.
 //! * [`telemetry`] — per-step time-series capture with CSV export; also
 //!   works as an `sdb_observe` event sink on the shared event bus.
 //! * [`scenarios`] — the Section 5 applications: fast-charging hybrid packs
@@ -84,6 +86,7 @@ pub mod predict;
 pub mod runtime;
 pub mod scenarios;
 pub mod scheduler;
+pub mod shard;
 pub mod telemetry;
 
 pub use api::SdbApi;
@@ -99,6 +102,7 @@ pub use scheduler::{
     run_trace, run_trace_linked, run_trace_planned, run_trace_prepared, LinkedSimOptions,
     PreparedResult, SimOptions, SimResult,
 };
+pub use shard::shard_map;
 
 /// Compile-time guarantee that the whole simulation stack can be moved
 /// across threads. The sdb-fleet engine runs one `(Microcontroller,

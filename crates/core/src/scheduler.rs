@@ -4,12 +4,22 @@
 //! measured power traces are fed into the battery emulation while the SDB
 //! Runtime adjusts ratios, and the driver books energy, losses, and
 //! depletion times for the Section 5 analyses.
+//!
+//! Every `run_trace*` entry point except the allocation-free rollout
+//! kernel [`run_trace_prepared`] wraps one private driver loop, generic
+//! over what it talks to: the firmware directly, or the firmware behind a
+//! lossy [`Link`]. An optional [`LookaheadPolicy`] plans before each
+//! point, and on the direct path an optional [`SoaCohort`] lane
+//! fast-forwards quiescent stretches.
 
 use crate::lookahead::LookaheadPolicy;
 use crate::policy::PolicyInput;
 use crate::runtime::SdbRuntime;
 use sdb_emulator::link::{Command, Link};
-use sdb_emulator::micro::Microcontroller;
+use sdb_emulator::micro::{Microcontroller, StepReport};
+use sdb_emulator::SoaCohort;
+use sdb_observe::SpanName;
+use sdb_prof::Phase;
 use sdb_workloads::traces::{Trace, TracePoint};
 
 /// Options for a simulation run.
@@ -80,7 +90,7 @@ pub fn run_trace(
     trace: &Trace,
     opts: &SimOptions,
 ) -> SimResult {
-    run_trace_observed(micro, runtime, trace, opts, |_, _| {})
+    run_trace_with(micro, runtime, trace, opts, None, None, |_, _| {}).0
 }
 
 /// As [`run_trace`], additionally invoking `observer` after every step
@@ -94,9 +104,9 @@ pub fn run_trace_observed<F>(
     observer: F,
 ) -> SimResult
 where
-    F: FnMut(f64, &sdb_emulator::micro::StepReport),
+    F: FnMut(f64, &StepReport),
 {
-    run_trace_inner(micro, runtime, trace, opts, None, observer)
+    run_trace_with(micro, runtime, trace, opts, None, None, observer).0
 }
 
 /// As [`run_trace`], with a [`LookaheadPolicy`] in the loop: before every
@@ -113,111 +123,364 @@ pub fn run_trace_planned(
     opts: &SimOptions,
     policy: &mut dyn LookaheadPolicy,
 ) -> SimResult {
-    run_trace_inner(micro, runtime, trace, opts, Some(policy), |_, _| {})
+    run_trace_with(micro, runtime, trace, opts, Some(policy), None, |_, _| {}).0
 }
 
-/// Shared driver body: the greedy path (`policy == None`) executes exactly
-/// the instruction sequence the pre-planner driver did, preserving
-/// bit-identical results for every existing caller.
-fn run_trace_inner<F>(
+/// The hybrid trace driver of the SoA fleet engine: scalar sync ticks
+/// interleaved with closed-form fast-forward of runs of identical
+/// quiescent trace points through lane 0 of `soa`. Returns the run result
+/// and the number of fast-forwarded ticks.
+///
+/// The scalar ticks execute the exact `tick → step` instruction sequence
+/// of [`run_trace`]; only the fast-forwarded stretches deviate, within
+/// the documented kernel bound. Skipped work stays accounted: the pack's
+/// step counter and the runtime's policy-eval clock are credited for
+/// every fast-forwarded tick ([`Microcontroller::credit_skipped_steps`] /
+/// [`SdbRuntime::note_fast_forward`]).
+///
+/// # Panics
+///
+/// Panics if the emulated hardware rejects a runtime push (fatal in
+/// simulation, as in [`run_trace`]).
+pub fn run_trace_soa(
     micro: &mut Microcontroller,
     runtime: &mut SdbRuntime,
     trace: &Trace,
     opts: &SimOptions,
-    mut policy: Option<&mut dyn LookaheadPolicy>,
+    soa: &mut SoaCohort,
+) -> (SimResult, u64) {
+    run_trace_with(micro, runtime, trace, opts, None, Some(soa), |_, _| {})
+}
+
+/// The direct driver with every option: an optional [`LookaheadPolicy`]
+/// (as in [`run_trace_planned`]), an optional SoA lane (as in
+/// [`run_trace_soa`]), and `observer` after every scalar step (as in
+/// [`run_trace_observed`]; fast-forwarded stretches have no step report).
+/// Returns the run result and the number of fast-forwarded ticks.
+///
+/// # Panics
+///
+/// Panics if the emulated hardware rejects a runtime push (fatal in
+/// simulation).
+pub fn run_trace_with<F>(
+    micro: &mut Microcontroller,
+    runtime: &mut SdbRuntime,
+    trace: &Trace,
+    opts: &SimOptions,
+    policy: Option<&mut dyn LookaheadPolicy>,
+    soa: Option<&mut SoaCohort>,
     mut observer: F,
-) -> SimResult
+) -> (SimResult, u64)
 where
-    F: FnMut(f64, &sdb_emulator::micro::StepReport),
+    F: FnMut(f64, &StepReport),
 {
-    let n = micro.battery_count();
-    let start = micro.time_s();
-    let (d0, cl0, ch0, u0, e0) = micro.energy_totals_j();
-    // Clone of the runtime's observer handle for span timing (shares the
-    // same registry; cheap `Option<Arc>` clone).
-    let obs = runtime.observer().clone();
+    drive(
+        micro,
+        runtime,
+        trace,
+        opts,
+        policy,
+        soa,
+        |_, _| {},
+        |t, _, report| observer(t, report),
+    )
+}
 
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
+/// What the driver loop talks to: the firmware directly, or the firmware
+/// behind a lossy [`Link`]. Statically dispatched, so each driver keeps
+/// its own monomorphized hot loop.
+trait Target {
+    fn micro(&self) -> &Microcontroller;
+    fn micro_mut(&mut self) -> &mut Microcontroller;
+    /// The runtime's turn at one trace point.
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64);
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport;
+    /// Runs once after the last point.
+    fn finish(&mut self, _runtime: &mut SdbRuntime) {}
+}
 
-    let resampled = trace.resampled(opts.max_dt_s);
-    'outer: for p in resampled.points() {
-        let _span = obs.span(sdb_observe::SpanName::TraceStep);
-        // The scheduler step is the profiler's sampling gate: it advances
-        // the per-device tick, and the plan/tick sub-phases plus the
-        // nested micro step inherit its hot/cold decision.
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        let input = PolicyInput::from_micro(micro)
-            .with_load(p.load_w)
-            .with_external(p.external_w);
-        if let Some(policy) = policy.as_deref_mut() {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
-            if let Some(plan) = policy.plan(elapsed, micro, &input) {
-                runtime.commit_plan(&plan);
-            }
-        }
-        {
-            // Runtime failures (hardware rejection) are fatal in
-            // simulation.
-            let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
-            runtime
-                .tick(micro, &input, p.dur_s)
-                .expect("runtime push rejected by emulated hardware");
-        }
-        let report = micro.step(p.load_w, p.external_w, p.dur_s);
-        if let Some(policy) = policy.as_deref_mut() {
-            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
-        }
+impl Target for Microcontroller {
+    fn micro(&self) -> &Microcontroller {
+        self
+    }
+    fn micro_mut(&mut self) -> &mut Microcontroller {
+        self
+    }
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64) {
+        // Runtime failures (hardware rejection) are fatal in simulation.
+        let _prof = sdb_prof::sub(Phase::RuntimeTick);
+        runtime
+            .tick(self, input, dt_s)
+            .expect("runtime push rejected by emulated hardware");
+    }
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport {
+        Microcontroller::step(self, load_w, external_w, dt_s)
+    }
+}
 
-        // Apportion the step's energy across hour buckets it straddles.
-        let loss_w = report.circuit_loss_w + report.cell_heat_w;
-        let mut t = elapsed;
-        let mut remaining = p.dur_s;
+/// A pack behind a lossy [`Link`], with the status heartbeat's clock.
+struct Linked<'a> {
+    link: &'a mut Link,
+    status_period_s: f64,
+    since_status_s: f64,
+}
+
+impl Target for Linked<'_> {
+    fn micro(&self) -> &Microcontroller {
+        self.link.micro()
+    }
+    fn micro_mut(&mut self) -> &mut Microcontroller {
+        self.link.micro_mut()
+    }
+    fn tick(&mut self, runtime: &mut SdbRuntime, input: &PolicyInput, dt_s: f64) {
+        // Link traffic: response drain, runtime tick + supervision over
+        // the lossy transport, and the status heartbeat.
+        let _prof = sdb_prof::sub(Phase::LinkStep);
+        runtime.observe_responses(&self.link.take_responses());
+        runtime
+            .tick(&mut *self.link, input, dt_s)
+            .expect("link send is local and infallible");
+        runtime
+            .supervise(&mut *self.link, dt_s)
+            .expect("link send is local and infallible");
+        self.since_status_s += dt_s;
+        if self.since_status_s >= self.status_period_s {
+            self.since_status_s = 0.0;
+            self.link.send(Command::QueryBatteryStatus);
+            runtime.note_command_sent();
+        }
+    }
+    fn step(&mut self, load_w: f64, external_w: f64, dt_s: f64) -> StepReport {
+        self.link.step(load_w, external_w, dt_s)
+    }
+    fn finish(&mut self, runtime: &mut SdbRuntime) {
+        runtime.observe_responses(&self.link.take_responses());
+    }
+}
+
+/// The energy, loss and depletion books of one run.
+struct Books {
+    start_s: f64,
+    totals0: (f64, f64, f64, f64, f64),
+    elapsed: f64,
+    first_brownout: Option<f64>,
+    battery_empty: Vec<Option<f64>>,
+    hourly_loss: Vec<f64>,
+    hourly_load: Vec<f64>,
+}
+
+impl Books {
+    fn new(micro: &Microcontroller) -> Self {
+        Self {
+            start_s: micro.time_s(),
+            totals0: micro.energy_totals_j(),
+            elapsed: 0.0,
+            first_brownout: None,
+            battery_empty: vec![None; micro.battery_count()],
+            hourly_loss: Vec::new(),
+            hourly_load: Vec::new(),
+        }
+    }
+
+    /// Apportions a constant-rate span starting now across the hour
+    /// buckets it straddles, then advances the clock past it.
+    fn book(&mut self, dur_s: f64, loss_w: f64, load_w: f64) {
+        let mut t = self.elapsed;
+        let mut remaining = dur_s;
         while remaining > 1e-9 {
             let hour = (t / 3600.0) as usize;
             let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-            if hourly_loss.len() <= hour {
-                hourly_loss.resize(hour + 1, 0.0);
-                hourly_load.resize(hour + 1, 0.0);
+            if self.hourly_loss.len() <= hour {
+                self.hourly_loss.resize(hour + 1, 0.0);
+                self.hourly_load.resize(hour + 1, 0.0);
             }
-            hourly_loss[hour] += loss_w * take;
-            hourly_load[hour] += report.load_w * take;
+            self.hourly_loss[hour] += loss_w * take;
+            self.hourly_load[hour] += load_w * take;
             t += take;
             remaining -= take;
         }
-
-        elapsed += p.dur_s;
-        observer(elapsed, &report);
-        for (i, cell) in micro.cells().iter().enumerate() {
-            if battery_empty[i].is_none() && cell.is_empty() {
-                battery_empty[i] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.stop_on_brownout {
-                break 'outer;
-            }
-        }
+        self.elapsed += dur_s;
     }
 
-    let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    SimResult {
-        simulated_s: micro.time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
+    /// Records emptied batteries and the first brownout after a step;
+    /// returns whether the run stops here.
+    fn settle(&mut self, micro: &Microcontroller, report: &StepReport, opts: &SimOptions) -> bool {
+        for (empty, cell) in self.battery_empty.iter_mut().zip(micro.cells()) {
+            if empty.is_none() && cell.is_empty() {
+                *empty = Some(self.elapsed);
+            }
+        }
+        if report.unmet_w > 1e-9 && self.first_brownout.is_none() {
+            self.first_brownout = Some(self.elapsed);
+            return opts.stop_on_brownout;
+        }
+        false
     }
+
+    fn finish(self, micro: &Microcontroller) -> SimResult {
+        let (d0, cl0, ch0, u0, e0) = self.totals0;
+        let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
+        SimResult {
+            simulated_s: micro.time_s() - self.start_s,
+            supplied_j: d1 - d0,
+            unmet_j: u1 - u0,
+            circuit_loss_j: cl1 - cl0,
+            cell_heat_j: ch1 - ch0,
+            external_j: e1 - e0,
+            first_brownout_s: self.first_brownout,
+            battery_empty_s: self.battery_empty,
+            hourly_loss_j: self.hourly_loss,
+            hourly_load_j: self.hourly_load,
+            final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
+        }
+    }
+}
+
+/// The one driver loop behind every `run_trace*` entry point except
+/// [`run_trace_prepared`]. Per point: `pre_step` hook → policy input →
+/// optional lookahead plan → runtime tick → emulator step → policy
+/// feedback → books → `on_step` hook; then, with an SoA lane, the
+/// fast-forward stretch. Returns the result and the fast-forwarded
+/// tick count.
+#[allow(clippy::too_many_arguments)]
+fn drive<T: Target>(
+    target: &mut T,
+    runtime: &mut SdbRuntime,
+    trace: &Trace,
+    opts: &SimOptions,
+    mut policy: Option<&mut dyn LookaheadPolicy>,
+    mut soa: Option<&mut SoaCohort>,
+    mut pre_step: impl FnMut(f64, &mut T),
+    mut on_step: impl FnMut(f64, &T, &StepReport),
+) -> (SimResult, u64) {
+    // Clone of the runtime's observer handle for span timing (shares the
+    // same registry; cheap `Option<Arc>` clone).
+    let obs = runtime.observer().clone();
+    // The scheduler step is the profiler's sampling gate: it advances
+    // the per-device tick, and the plan/tick sub-phases plus the nested
+    // micro step inherit its hot/cold decision. The SoA engine's scalar
+    // sync ticks count under their own phase.
+    let step_phase = if soa.is_some() {
+        Phase::SoaStep
+    } else {
+        Phase::TraceStep
+    };
+    let mut books = Books::new(target.micro());
+    let mut input = PolicyInput::from_micro(target.micro());
+    let mut ff_ticks = 0u64;
+
+    let resampled = trace.resampled(opts.max_dt_s);
+    let points = resampled.points();
+    let mut i = 0;
+    while i < points.len() {
+        let p = &points[i];
+        i += 1;
+        let span = obs.span(SpanName::TraceStep);
+        let prof = sdb_prof::step(step_phase);
+        pre_step(books.elapsed, target);
+        input.refill_from_micro(target.micro());
+        input.load_w = p.load_w;
+        input.external_w = p.external_w;
+        if let Some(policy) = policy.as_deref_mut() {
+            let _prof = sdb_prof::sub(Phase::PolicyPlan);
+            if let Some(plan) = policy.plan(books.elapsed, target.micro(), &input) {
+                runtime.commit_plan(&plan);
+            }
+        }
+        target.tick(runtime, &input, p.dur_s);
+        let report = target.step(p.load_w, p.external_w, p.dur_s);
+        if let Some(policy) = policy.as_deref_mut() {
+            policy.observe_step(books.elapsed + p.dur_s, p.dur_s, p.load_w);
+        }
+        books.book(
+            p.dur_s,
+            report.circuit_loss_w + report.cell_heat_w,
+            report.load_w,
+        );
+        on_step(books.elapsed, target, &report);
+        if books.settle(target.micro(), &report, opts) {
+            break;
+        }
+        // The fast-forward stretch is a gating step of its own, never
+        // nested under this point's.
+        drop(prof);
+        drop(span);
+        if let Some(soa) = soa.as_deref_mut() {
+            let skipped = fast_forward(
+                soa,
+                target.micro_mut(),
+                runtime,
+                &mut books,
+                &report,
+                p,
+                &points[i..],
+            );
+            i += skipped as usize;
+            ff_ticks += skipped;
+        }
+    }
+    target.finish(runtime);
+    (books.finish(target.micro()), ff_ticks)
+}
+
+/// Minimum run of identical upcoming trace points worth the
+/// snapshot-in/snapshot-out cost of parking a lane.
+const MIN_STRETCH_POINTS: usize = 4;
+
+/// The SoA stretch step after the scalar sync tick `report` at point `p`:
+/// when the `next` points replay `p` exactly and the quiescence
+/// classifier admits the pack, park it in lane 0 and fast-forward with
+/// the closed-form kernel, re-syncing at every boundary the kernel
+/// reports. Returns the number of fast-forwarded ticks.
+fn fast_forward(
+    soa: &mut SoaCohort,
+    micro: &mut Microcontroller,
+    runtime: &mut SdbRuntime,
+    books: &mut Books,
+    report: &StepReport,
+    p: &TracePoint,
+    next: &[TracePoint],
+) -> u64 {
+    if p.external_w != 0.0 {
+        return 0;
+    }
+    let run = next
+        .iter()
+        .take_while(|q| {
+            q.load_w.to_bits() == p.load_w.to_bits()
+                && q.external_w == 0.0
+                && q.dur_s.to_bits() == p.dur_s.to_bits()
+        })
+        .count();
+    if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, report, p.load_w, p.dur_s) {
+        return 0;
+    }
+    let mut remaining = u32::try_from(run).unwrap_or(u32::MAX);
+    let mut skipped = 0u64;
+    while remaining > 0 {
+        let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
+        if k == 0 {
+            break;
+        }
+        let totals = {
+            let _prof = sdb_prof::step(Phase::FastForward);
+            soa.advance(0, p.load_w, p.dur_s, k)
+        };
+        let span_s = f64::from(k) * p.dur_s;
+        books.book(
+            span_s,
+            (totals.circuit_loss_j + totals.cell_heat_j) / span_s,
+            p.load_w,
+        );
+        runtime.note_fast_forward(p.dur_s, u64::from(k));
+        skipped += u64::from(k);
+        remaining -= k;
+    }
+    soa.exit(0, micro);
+    if skipped > 0 {
+        micro.credit_skipped_steps(skipped);
+    }
+    skipped
 }
 
 /// The scalar subset of [`SimResult`] that rollout scoring consumes —
@@ -281,12 +544,12 @@ pub fn run_trace_prepared(
     let mut first_brownout = None;
     let mut elapsed = 0.0f64;
     for p in points {
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
+        let _prof = sdb_prof::step(Phase::TraceStep);
         input.refill_from_micro(micro);
         input.load_w = p.load_w;
         input.external_w = p.external_w;
         {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
+            let _prof = sdb_prof::sub(Phase::RuntimeTick);
             runtime
                 .tick(micro, input, p.dur_s)
                 .expect("runtime push rejected by emulated hardware");
@@ -344,7 +607,7 @@ pub fn run_trace_linked(
     trace: &Trace,
     opts: &LinkedSimOptions,
 ) -> SimResult {
-    run_trace_linked_with(link, runtime, trace, opts, |_, _| {}, |_, _, _| {})
+    run_trace_linked_planned_with(link, runtime, trace, opts, None, |_, _| {}, |_, _, _| {})
 }
 
 /// As [`run_trace_linked`], with two hooks: `pre_step` runs before each
@@ -361,151 +624,50 @@ pub fn run_trace_linked_with<P, F>(
 ) -> SimResult
 where
     P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
+    F: FnMut(f64, &Link, &StepReport),
 {
-    run_trace_linked_inner(link, runtime, trace, opts, None, pre_step, on_step)
+    run_trace_linked_planned_with(link, runtime, trace, opts, None, pre_step, on_step)
 }
 
-/// As [`run_trace_linked_with`], with a [`LookaheadPolicy`] in the loop —
-/// the linked counterpart of [`run_trace_planned`], so planner-steered
-/// runtimes can be exercised under lossy transport and fault injection
-/// (planner-aware chaos). Before every point the policy may commit a plan
-/// (committed host-side via [`SdbRuntime::commit_plan`]; the resulting
-/// directive still travels over the lossy link like any other push), and
-/// after every step the realized load is fed back through
-/// [`LookaheadPolicy::observe_step`]. With `policy == None` semantics this
-/// driver is [`run_trace_linked_with`]: the no-policy instruction sequence
-/// is preserved bit-for-bit.
+/// As [`run_trace_linked_with`], with an optional [`LookaheadPolicy`] in
+/// the loop — the linked counterpart of [`run_trace_planned`], so
+/// planner-steered runtimes can be exercised under lossy transport and
+/// fault injection (planner-aware chaos). Before every point the policy
+/// may commit a plan (committed host-side via
+/// [`SdbRuntime::commit_plan`]; the resulting directive still travels
+/// over the lossy link like any other push), and after every step the
+/// realized load is fed back through [`LookaheadPolicy::observe_step`].
+/// With `policy == None` this is [`run_trace_linked_with`].
 pub fn run_trace_linked_planned_with<P, F>(
     link: &mut Link,
     runtime: &mut SdbRuntime,
     trace: &Trace,
     opts: &LinkedSimOptions,
-    policy: &mut dyn LookaheadPolicy,
-    pre_step: P,
-    on_step: F,
-) -> SimResult
-where
-    P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
-{
-    run_trace_linked_inner(link, runtime, trace, opts, Some(policy), pre_step, on_step)
-}
-
-/// Shared linked-driver body. With `policy == None` this executes exactly
-/// the instruction sequence the pre-planner linked driver did (the policy
-/// input is a pure read of the micro, so hoisting its construction above
-/// the response drain does not change its value), preserving bit-identical
-/// results for every existing caller.
-fn run_trace_linked_inner<P, F>(
-    link: &mut Link,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &LinkedSimOptions,
-    mut policy: Option<&mut dyn LookaheadPolicy>,
+    policy: Option<&mut dyn LookaheadPolicy>,
     mut pre_step: P,
     mut on_step: F,
 ) -> SimResult
 where
     P: FnMut(f64, &mut Link),
-    F: FnMut(f64, &Link, &sdb_emulator::micro::StepReport),
+    F: FnMut(f64, &Link, &StepReport),
 {
-    let n = link.micro().battery_count();
-    let start = link.micro().time_s();
-    let (d0, cl0, ch0, u0, e0) = link.micro().energy_totals_j();
-    let obs = runtime.observer().clone();
-
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
-    // Force a status heartbeat on the very first point.
-    let mut since_status_s = f64::INFINITY;
-
-    let resampled = trace.resampled(opts.sim.max_dt_s);
-    'outer: for p in resampled.points() {
-        let _span = obs.span(sdb_observe::SpanName::TraceStep);
-        let _prof = sdb_prof::step(sdb_prof::Phase::TraceStep);
-        pre_step(elapsed, link);
-        let input = PolicyInput::from_micro(link.micro())
-            .with_load(p.load_w)
-            .with_external(p.external_w);
-        if let Some(policy) = policy.as_deref_mut() {
-            let _prof = sdb_prof::sub(sdb_prof::Phase::PolicyPlan);
-            if let Some(plan) = policy.plan(elapsed, link.micro(), &input) {
-                runtime.commit_plan(&plan);
-            }
-        }
-        {
-            // Link traffic: response drain, runtime tick + supervision
-            // over the lossy transport, and the status heartbeat.
-            let _prof = sdb_prof::sub(sdb_prof::Phase::LinkStep);
-            runtime.observe_responses(&link.take_responses());
-            runtime
-                .tick(link, &input, p.dur_s)
-                .expect("link send is local and infallible");
-            runtime
-                .supervise(link, p.dur_s)
-                .expect("link send is local and infallible");
-            since_status_s += p.dur_s;
-            if since_status_s >= opts.status_period_s {
-                since_status_s = 0.0;
-                link.send(Command::QueryBatteryStatus);
-                runtime.note_command_sent();
-            }
-        }
-        let report = link.step(p.load_w, p.external_w, p.dur_s);
-        if let Some(policy) = policy.as_deref_mut() {
-            policy.observe_step(elapsed + p.dur_s, p.dur_s, p.load_w);
-        }
-
-        let loss_w = report.circuit_loss_w + report.cell_heat_w;
-        let mut t = elapsed;
-        let mut remaining = p.dur_s;
-        while remaining > 1e-9 {
-            let hour = (t / 3600.0) as usize;
-            let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-            if hourly_loss.len() <= hour {
-                hourly_loss.resize(hour + 1, 0.0);
-                hourly_load.resize(hour + 1, 0.0);
-            }
-            hourly_loss[hour] += loss_w * take;
-            hourly_load[hour] += report.load_w * take;
-            t += take;
-            remaining -= take;
-        }
-
-        elapsed += p.dur_s;
-        on_step(elapsed, &*link, &report);
-        for (i, cell) in link.micro().cells().iter().enumerate() {
-            if battery_empty[i].is_none() && cell.is_empty() {
-                battery_empty[i] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.sim.stop_on_brownout {
-                break 'outer;
-            }
-        }
-    }
-    runtime.observe_responses(&link.take_responses());
-
-    let (d1, cl1, ch1, u1, e1) = link.micro().energy_totals_j();
-    SimResult {
-        simulated_s: link.micro().time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: link.micro().cells().iter().map(|c| c.soc()).collect(),
-    }
+    let mut target = Linked {
+        link,
+        status_period_s: opts.status_period_s,
+        // Force a status heartbeat on the very first point.
+        since_status_s: f64::INFINITY,
+    };
+    drive(
+        &mut target,
+        runtime,
+        trace,
+        &opts.sim,
+        policy,
+        None,
+        |t, l| pre_step(t, l.link),
+        |t, l, report| on_step(t, l.link, report),
+    )
+    .0
 }
 
 /// Charges the pack from `external_w` at idle until the pack's total
@@ -759,7 +921,7 @@ mod tests {
             &mut rt2,
             &trace,
             &LinkedSimOptions::default(),
-            &mut policy,
+            Some(&mut policy),
             |_, _| {},
             |_, _, _| {},
         );

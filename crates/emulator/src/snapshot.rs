@@ -250,6 +250,14 @@ impl PackSnapshot {
             external_in_j: r.f64()?,
             ..PackSnapshot::default()
         };
+        // `n` comes from untrusted bytes: bound it by what the rest of the
+        // input can hold before reserving anything.
+        if n > r.remaining() / MIN_BATTERY_BYTES {
+            return Err(format!(
+                "snapshot declares {n} batteries but only {} bytes follow",
+                r.remaining()
+            ));
+        }
         s.discharge_ratios.reserve(n);
         s.charge_ratios.reserve(n);
         s.present.reserve(n);
@@ -399,12 +407,20 @@ impl Writer {
     }
 }
 
+/// The fewest bytes one battery can occupy: its ratio-table row (two
+/// `f64` ratios, two flags, a profile tag) plus its cell and gauge records
+/// with every optional field absent.
+const MIN_BATTERY_BYTES: usize = (2 * 8 + 3) + (10 * 8 + 4 + 1) + (11 * 8 + 2 * 4 + 2);
+
 struct Reader<'a> {
     b: &'a [u8],
     at: usize,
 }
 
 impl Reader<'_> {
+    fn remaining(&self) -> usize {
+        self.b.len() - self.at
+    }
     fn take(&mut self, len: usize) -> Result<&[u8], String> {
         let end = self.at.checked_add(len).ok_or("length overflow")?;
         if end > self.b.len() {

@@ -98,6 +98,14 @@ fn snapshot_bytes_round_trip_bit_exactly() {
         assert_eq!(back, snap, "byte round-trip must be lossless");
         // And the re-serialization is byte-stable.
         assert_eq!(back.to_bytes(), bytes);
+        // A header (magic, version, battery count, six totals: 64 bytes)
+        // declaring u32::MAX batteries is rejected before any reserve,
+        // alone or followed by the real body.
+        for len in [64, bytes.len()] {
+            let mut hostile = bytes[..len].to_vec();
+            hostile[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(PackSnapshot::from_bytes(&hostile).is_err());
+        }
     });
 }
 

@@ -1,14 +1,16 @@
-//! The SoA fleet engine: hybrid scalar / fast-forward device driver.
+//! The SoA fleet engine: the engine choice, per-shard lanes, and the
+//! eligibility rule.
 //!
 //! The scalar engine ([`crate::engine`]) steps every device tick by tick.
 //! Fleet populations spend most of those ticks on devices that are doing
 //! nothing — a phone idling through the night at a fraction of a watt.
-//! This module drives such stretches through [`SoaCohort`]: after a real
-//! scalar tick establishes a sync point, the quiescence classifier parks
-//! the device's state in the cohort's structure-of-arrays lanes and the
-//! closed-form kernel fast-forwards whole runs of identical trace points
-//! in one call, re-syncing exactly at every boundary (load change,
-//! external power, drift budget, gauge recalibration crossing, SoC floor).
+//! Under [`EngineKind::Soa`] each eligible device runs
+//! [`sdb_core::scheduler::run_trace_soa`] with a [`SoaCohort`] lane: after
+//! a real scalar tick establishes a sync point, the quiescence classifier
+//! parks the device's state in the lane and the closed-form kernel
+//! fast-forwards whole runs of identical trace points in one call,
+//! re-syncing exactly at every boundary (load change, external power,
+//! drift budget, gauge recalibration crossing, SoC floor).
 //!
 //! Determinism contract: like the scalar engine, every device outcome is
 //! a pure function of `(FleetSpec, device index)` — the SoA report is
@@ -21,16 +23,9 @@
 //! devices transparently fall back to the scalar driver, as do packs
 //! with thermal simulation enabled.
 
-use crate::engine::DeviceOutcome;
-use crate::spec::{CohortSpec, FleetSpec, PolicySpec};
-use sdb_core::policy::{DischargeDirective, PolicyInput, PreservePolicy};
-use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{SimOptions, SimResult};
+use crate::spec::{CohortSpec, PolicySpec};
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::{QuiescenceConfig, SoaCohort};
-use sdb_observe::{Observer, SpanName};
-use sdb_workloads::traces::Trace;
 
 /// Which per-device driver the fleet engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,299 +63,56 @@ impl EngineKind {
     }
 }
 
-/// Minimum run of identical upcoming trace points worth the
-/// snapshot-in/snapshot-out cost of parking a lane.
-const MIN_STRETCH_POINTS: usize = 4;
-
 /// One shard's lazily-built SoA lanes, one slot per cohort. Lanes are
 /// reused across the shard's devices, so array and snapshot buffers are
 /// allocated once per (shard, cohort), not per device.
 pub(crate) struct SoaScratch {
-    slots: Vec<SlotState>,
-}
-
-enum SlotState {
-    Unbuilt,
-    /// Planner policy or thermal pack: this cohort runs the scalar driver.
-    Ineligible,
-    Ready(Box<SoaCohort>),
+    /// `None` until first use; then `Some(None)` for a cohort that runs
+    /// the scalar driver.
+    slots: Vec<Option<Option<Box<SoaCohort>>>>,
 }
 
 impl SoaScratch {
     pub(crate) fn new(cohorts: usize) -> Self {
         Self {
-            slots: (0..cohorts).map(|_| SlotState::Unbuilt).collect(),
+            slots: (0..cohorts).map(|_| None).collect(),
         }
     }
 
     /// The cohort's SoA lane, built on first use; `None` when the cohort
     /// must run the scalar driver.
-    fn lane(&mut self, idx: usize, cohort: &CohortSpec) -> Option<&mut SoaCohort> {
-        if matches!(self.slots[idx], SlotState::Unbuilt) {
-            self.slots[idx] = build_slot(cohort);
-        }
-        match &mut self.slots[idx] {
-            SlotState::Ready(soa) => Some(soa),
-            _ => None,
-        }
+    pub(crate) fn lane(&mut self, idx: usize, cohort: &CohortSpec) -> Option<&mut SoaCohort> {
+        self.slots[idx]
+            .get_or_insert_with(|| soa_lane(cohort.policy, &cohort.pack.build()).map(Box::new))
+            .as_deref_mut()
     }
 }
 
-fn build_slot(cohort: &CohortSpec) -> SlotState {
-    if !matches!(
-        cohort.policy,
-        PolicySpec::Blend(_) | PolicySpec::Preserve { .. }
-    ) {
-        return SlotState::Ineligible;
-    }
-    let template = build_pack(cohort);
-    if template.cells().iter().any(|c| c.temperature_c().is_some()) {
-        return SlotState::Ineligible;
-    }
-    SlotState::Ready(Box::new(SoaCohort::new(
-        &template,
-        1,
-        QuiescenceConfig::default(),
-    )))
-}
-
-fn build_pack(cohort: &CohortSpec) -> Microcontroller {
-    let mut builder = PackBuilder::new();
-    for slot in &cohort.pack.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    builder.build()
-}
-
-/// [`crate::engine::run_device`] on the SoA fast path. Cohorts without a
-/// lane (planner policies, thermal packs) take the scalar driver.
-pub(crate) fn run_device_soa(
-    spec: &FleetSpec,
-    device: u64,
-    obs: &Observer,
-    scratch: &mut SoaScratch,
-) -> DeviceOutcome {
-    let cohort_idx = spec.cohort_of(device);
-    let cohort = &spec.cohorts[cohort_idx];
-    if scratch.lane(cohort_idx, cohort).is_none() {
-        return crate::engine::run_device(spec, device, obs);
-    }
-    let seed = spec.device_seed(device);
-    let mut micro = build_pack(cohort);
-    micro.set_observer(obs.clone());
-    let mut runtime = SdbRuntime::new(micro.battery_count());
-    runtime.set_observer(obs.clone());
-    runtime.set_update_period(cohort.update_period_s);
-    let trace = cohort.workload.build(seed);
-    let soa = scratch
-        .lane(cohort_idx, cohort)
-        .expect("slot was just Ready");
-    let (result, ff_ticks) = match cohort.policy {
-        PolicySpec::Blend(v) => {
-            runtime.set_discharge_directive(DischargeDirective::new(v));
-            run_trace_soa(&mut micro, &mut runtime, &trace, &spec.sim, soa)
-        }
-        PolicySpec::Preserve {
-            efficient,
-            inefficient,
-            threshold_w,
-        } => {
-            runtime.set_preserve(Some(PreservePolicy::new(
-                efficient,
-                inefficient,
-                threshold_w,
-            )));
-            run_trace_soa(&mut micro, &mut runtime, &trace, &spec.sim, soa)
-        }
-        PolicySpec::Planned { .. } | PolicySpec::Oracle => {
-            unreachable!("planner cohorts have no SoA lane")
-        }
-    };
-    if ff_ticks > 0 {
-        if let Some(reg) = obs.registry() {
-            reg.counter("sdb_fleet_ff_ticks_total", &[]).add(ff_ticks);
-        }
-    }
-    crate::engine::outcome_from(&micro, device, cohort_idx, &result)
-}
-
-/// The hybrid trace driver: scalar sync ticks interleaved with SoA
-/// fast-forward over runs of identical quiescent trace points. Returns
-/// the run result and the number of fast-forwarded ticks.
-///
-/// The scalar ticks execute the exact `tick → step` instruction sequence
-/// of [`sdb_core::scheduler::run_trace`]; only the fast-forwarded
-/// stretches deviate, within the documented kernel bound. Skipped work
-/// stays accounted: the pack's step counter and the runtime's policy-eval
-/// clock are credited for every fast-forwarded tick
-/// ([`Microcontroller::credit_skipped_steps`] /
-/// [`SdbRuntime::note_fast_forward`]).
-///
-/// # Panics
-///
-/// Panics if the emulated hardware rejects a runtime push (fatal in
-/// simulation, as in `run_trace`).
-pub fn run_trace_soa(
-    micro: &mut Microcontroller,
-    runtime: &mut SdbRuntime,
-    trace: &Trace,
-    opts: &SimOptions,
-    soa: &mut SoaCohort,
-) -> (SimResult, u64) {
-    let n = micro.battery_count();
-    let start = micro.time_s();
-    let (d0, cl0, ch0, u0, e0) = micro.energy_totals_j();
-    let obs = runtime.observer().clone();
-
-    let mut first_brownout = None;
-    let mut battery_empty: Vec<Option<f64>> = vec![None; n];
-    let mut hourly_loss = Vec::new();
-    let mut hourly_load = Vec::new();
-    let mut elapsed = 0.0f64;
-    let mut ff_ticks = 0u64;
-
-    let resampled = trace.resampled(opts.max_dt_s);
-    let points = resampled.points();
-    let mut i = 0usize;
-    'outer: while i < points.len() {
-        let p = &points[i];
-        // Scalar sync tick: the same instruction sequence as `run_trace`.
-        let report = {
-            let _span = obs.span(SpanName::TraceStep);
-            let _prof = sdb_prof::step(sdb_prof::Phase::SoaStep);
-            let input = PolicyInput::from_micro(micro)
-                .with_load(p.load_w)
-                .with_external(p.external_w);
-            {
-                let _prof = sdb_prof::sub(sdb_prof::Phase::RuntimeTick);
-                runtime
-                    .tick(micro, &input, p.dur_s)
-                    .expect("runtime push rejected by emulated hardware");
-            }
-            micro.step(p.load_w, p.external_w, p.dur_s)
-        };
-        bucket(
-            &mut hourly_loss,
-            &mut hourly_load,
-            elapsed,
-            p.dur_s,
-            report.circuit_loss_w + report.cell_heat_w,
-            report.load_w,
-        );
-        elapsed += p.dur_s;
-        for (ci, cell) in micro.cells().iter().enumerate() {
-            if battery_empty[ci].is_none() && cell.is_empty() {
-                battery_empty[ci] = Some(elapsed);
-            }
-        }
-        if report.unmet_w > 1e-9 && first_brownout.is_none() {
-            first_brownout = Some(elapsed);
-            if opts.stop_on_brownout {
-                break 'outer;
-            }
-        }
-        i += 1;
-
-        // Fast-forward: how many upcoming points replay this one exactly?
-        if p.external_w != 0.0 {
-            continue;
-        }
-        let run = points[i..]
-            .iter()
-            .take_while(|q| {
-                q.load_w.to_bits() == p.load_w.to_bits()
-                    && q.external_w == 0.0
-                    && q.dur_s.to_bits() == p.dur_s.to_bits()
-            })
-            .count();
-        if run < MIN_STRETCH_POINTS || !soa.try_enter(0, micro, &report, p.load_w, p.dur_s) {
-            continue;
-        }
-        let mut remaining = u32::try_from(run).unwrap_or(u32::MAX);
-        let mut skipped = 0u64;
-        while remaining > 0 {
-            let k = soa.max_ticks(0, p.load_w, p.dur_s).min(remaining);
-            if k == 0 {
-                break;
-            }
-            let totals = {
-                let _prof = sdb_prof::step(sdb_prof::Phase::FastForward);
-                soa.advance(0, p.load_w, p.dur_s, k)
-            };
-            let span_s = f64::from(k) * p.dur_s;
-            bucket(
-                &mut hourly_loss,
-                &mut hourly_load,
-                elapsed,
-                span_s,
-                (totals.circuit_loss_j + totals.cell_heat_j) / span_s,
-                p.load_w,
-            );
-            elapsed += span_s;
-            runtime.note_fast_forward(p.dur_s, u64::from(k));
-            skipped += u64::from(k);
-            remaining -= k;
-            i += k as usize;
-        }
-        soa.exit(0, micro);
-        if skipped > 0 {
-            micro.credit_skipped_steps(skipped);
-            ff_ticks += skipped;
-        }
-    }
-
-    let (d1, cl1, ch1, u1, e1) = micro.energy_totals_j();
-    let result = SimResult {
-        simulated_s: micro.time_s() - start,
-        supplied_j: d1 - d0,
-        unmet_j: u1 - u0,
-        circuit_loss_j: cl1 - cl0,
-        cell_heat_j: ch1 - ch0,
-        external_j: e1 - e0,
-        first_brownout_s: first_brownout,
-        battery_empty_s: battery_empty,
-        hourly_loss_j: hourly_loss,
-        hourly_load_j: hourly_load,
-        final_soc: micro.cells().iter().map(|c| c.soc()).collect(),
-    };
-    (result, ff_ticks)
-}
-
-/// Apportions a constant-rate span across the hour buckets it straddles
-/// (identical arithmetic to the scalar driver's inline loop).
-fn bucket(
-    hourly_loss: &mut Vec<f64>,
-    hourly_load: &mut Vec<f64>,
-    start_s: f64,
-    dur_s: f64,
-    loss_w: f64,
-    load_w: f64,
-) {
-    let mut t = start_s;
-    let mut remaining = dur_s;
-    while remaining > 1e-9 {
-        let hour = (t / 3600.0) as usize;
-        let take = remaining.min((hour + 1) as f64 * 3600.0 - t);
-        if hourly_loss.len() <= hour {
-            hourly_loss.resize(hour + 1, 0.0);
-            hourly_load.resize(hour + 1, 0.0);
-        }
-        hourly_loss[hour] += loss_w * take;
-        hourly_load[hour] += load_w * take;
-        t += take;
-        remaining -= take;
-    }
+/// The SoA eligibility rule: a one-lane cohort shaped like `pack` when
+/// devices under `policy` may fast-forward, `None` when they must run the
+/// scalar driver. Planner policies commit plans at times the quiescence
+/// classifier cannot see ahead of, and thermal packs are outside the
+/// closed-form kernel.
+#[must_use]
+pub fn soa_lane(policy: PolicySpec, pack: &Microcontroller) -> Option<SoaCohort> {
+    let greedy = matches!(policy, PolicySpec::Blend(_) | PolicySpec::Preserve { .. });
+    let thermal = pack.cells().iter().any(|c| c.temperature_c().is_some());
+    (greedy && !thermal).then(|| SoaCohort::new(pack, 1, QuiescenceConfig::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run_fleet, run_fleet_with_engine};
-    use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
+    use crate::run_trace_soa;
+    use crate::spec::{FleetSpec, PackTemplate, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
-    use sdb_core::scheduler::run_trace;
+    use sdb_core::policy::DischargeDirective;
+    use sdb_core::runtime::SdbRuntime;
+    use sdb_core::scheduler::{run_trace, SimOptions};
     use sdb_emulator::profile::ProfileKind;
+    use sdb_workloads::traces::Trace;
     use std::sync::Arc;
 
     fn idle_spec(devices: usize) -> FleetSpec {
@@ -468,13 +220,13 @@ mod tests {
         let trace = Trace::constant(8.0, 2.0 * 3600.0);
         let opts = SimOptions::default();
 
-        let mut m1 = build_pack(cohort);
+        let mut m1 = cohort.pack.build();
         let mut rt1 = SdbRuntime::new(2);
         rt1.set_discharge_directive(DischargeDirective::new(0.5));
         rt1.set_update_period(60.0);
         let full = run_trace(&mut m1, &mut rt1, &trace, &opts);
 
-        let mut m2 = build_pack(cohort);
+        let mut m2 = cohort.pack.build();
         let mut rt2 = SdbRuntime::new(2);
         rt2.set_discharge_directive(DischargeDirective::new(0.5));
         rt2.set_update_period(60.0);

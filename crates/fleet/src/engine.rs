@@ -1,39 +1,30 @@
 //! The parallel fleet driver.
 //!
-//! Work distribution is a single atomic index over `0..devices`: each
-//! `std::thread::scope` worker claims the next device, runs its full
-//! simulation, and appends the outcome to a shard-local vector. Nothing is
-//! shared between shards on the hot path — each shard has its own
-//! [`Observer`] (metrics registry + span histograms), merged only after
-//! join. Because every device outcome is a pure function of
-//! `(FleetSpec, device index)` and the merge re-orders outcomes by device
-//! index, the resulting [`FleetReport`] is bit-identical for any worker
-//! count, including 1.
+//! Work distribution is [`sdb_core::shard_map`]: worker threads claim
+//! device indices from one atomic counter, run each device's full
+//! simulation, and keep the outcome. Nothing is shared between shards on
+//! the hot path — each shard has its own [`Observer`] (metrics registry +
+//! span histograms), merged only after join. Because every device
+//! outcome is a pure function of `(FleetSpec, device index)` and the
+//! outcomes come back in device order, the resulting [`FleetReport`] is
+//! bit-identical for any worker count, including 1.
 
 use crate::batch::{EngineKind, SoaScratch};
 use crate::report::FleetReport;
 use crate::sketches::FleetSketches;
-use crate::spec::{FleetSpec, PolicySpec};
+use crate::spec::FleetSpec;
+use sdb_core::lookahead::LookaheadPolicy;
 use sdb_core::metrics::{ccb, wear_ratios};
-use sdb_core::policy::{DischargeDirective, PreservePolicy};
 use sdb_core::runtime::SdbRuntime;
-use sdb_core::scheduler::{run_trace, run_trace_planned};
+use sdb_core::scheduler::run_trace_with;
+use sdb_core::shard_map;
 use sdb_emulator::micro::Microcontroller;
-use sdb_emulator::pack::PackBuilder;
-use sdb_observe::{DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
-use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
-use sdb_workloads::traces::Trace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use sdb_observe::{Counter, DeviceEvent, MetricsRegistry, Observer, SpanName, TraceCollector};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Seed offset separating a planned cohort's forecast warm-up days from
-/// the evaluated trace, so planners train on the device's *habit*, never
-/// on the day being judged.
-const PLANNER_HISTORY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// How many previous days a planned cohort's forecaster folds in.
-const PLANNER_HISTORY_DAYS: u64 = 7;
+/// A shard's event collector, shared with its observer's sink list.
+type SharedCollector = Arc<Mutex<TraceCollector>>;
 
 /// The per-device result the merge aggregates. Everything here is a pure
 /// function of `(spec, device)`.
@@ -84,22 +75,21 @@ pub struct FleetRunStats {
     pub sketches: FleetSketches,
 }
 
-/// Builds and runs one device, recording into the shard's observer.
-pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> DeviceOutcome {
+/// Builds and runs one device, recording into the shard's observer. With
+/// a shard's SoA lanes, devices of eligible cohorts fast-forward their
+/// quiescent stretches.
+pub(crate) fn run_device(
+    spec: &FleetSpec,
+    device: u64,
+    obs: &Observer,
+    soa: Option<&mut SoaScratch>,
+) -> DeviceOutcome {
     let cohort_idx = spec.cohort_of(device);
     let cohort = &spec.cohorts[cohort_idx];
     let seed = spec.device_seed(device);
 
-    // Instantiate the shared pack template. The specs live behind `Arc`
-    // and the builder accepts the handle directly, so no per-device spec
-    // copy is made.
-    let mut builder = PackBuilder::new();
-    for slot in &cohort.pack.batteries {
-        builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-    }
-    let mut micro: Microcontroller = builder.build();
+    let mut micro = cohort.pack.build();
     micro.set_observer(obs.clone());
-
     let mut runtime = SdbRuntime::new(micro.battery_count());
     runtime.set_observer(obs.clone());
     runtime.set_update_period(cohort.update_period_s);
@@ -107,55 +97,27 @@ pub(crate) fn run_device(spec: &FleetSpec, device: u64, obs: &Observer) -> Devic
     // modes need it (the oracle plans over it, and both planners only
     // make sense relative to a concrete workload).
     let trace = cohort.workload.build(seed);
-    let result = match cohort.policy {
-        PolicySpec::Blend(v) => {
-            runtime.set_discharge_directive(DischargeDirective::new(v));
-            run_trace(&mut micro, &mut runtime, &trace, &spec.sim)
+    let mut planner = cohort.policy.install(
+        &mut runtime,
+        &cohort.workload,
+        seed,
+        &trace,
+        cohort.update_period_s,
+    );
+    let (result, ff_ticks) = run_trace_with(
+        &mut micro,
+        &mut runtime,
+        &trace,
+        &spec.sim,
+        planner.as_mut().map(|p| p as &mut dyn LookaheadPolicy),
+        soa.and_then(|s| s.lane(cohort_idx, cohort)),
+        |_, _| {},
+    );
+    if ff_ticks > 0 {
+        if let Some(reg) = obs.registry() {
+            reg.counter("sdb_fleet_ff_ticks_total", &[]).add(ff_ticks);
         }
-        PolicySpec::Preserve {
-            efficient,
-            inefficient,
-            threshold_w,
-        } => {
-            runtime.set_preserve(Some(PreservePolicy::new(
-                efficient,
-                inefficient,
-                threshold_w,
-            )));
-            run_trace(&mut micro, &mut runtime, &trace, &spec.sim)
-        }
-        PolicySpec::Planned {
-            horizon_s,
-            replan_s,
-        } => {
-            let history: Vec<Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
-                .map(|k| {
-                    cohort
-                        .workload
-                        .build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT)))
-                })
-                .collect();
-            let forecaster = HistoryForecaster::from_history(history.iter().map(Arc::as_ref), 0.3);
-            let cfg = PlannerConfig {
-                horizon_s,
-                replan_period_s: replan_s,
-                update_period_s: cohort.update_period_s,
-                ..PlannerConfig::default()
-            };
-            let mut planner = Planner::new(cfg, Box::new(forecaster));
-            run_trace_planned(&mut micro, &mut runtime, &trace, &spec.sim, &mut planner)
-        }
-        PolicySpec::Oracle => {
-            let cfg = PlannerConfig {
-                candidates: 17,
-                update_period_s: cohort.update_period_s,
-                ..PlannerConfig::default()
-            };
-            let mut planner = Planner::oracle(cfg, Arc::clone(&trace));
-            run_trace_planned(&mut micro, &mut runtime, &trace, &spec.sim, &mut planner)
-        }
-    };
-
+    }
     outcome_from(&micro, device, cohort_idx, &result)
 }
 
@@ -213,7 +175,7 @@ pub fn run_fleet_with_engine(
     threads: usize,
     engine: EngineKind,
 ) -> Result<(FleetReport, FleetRunStats), String> {
-    let (report, stats, _) = run_fleet_inner_with(spec, threads, false, None, engine)?;
+    let (report, stats, _) = run_fleet_inner(spec, threads, false, None, engine)?;
     Ok((report, stats))
 }
 
@@ -230,7 +192,7 @@ pub fn run_fleet_captured_with_engine(
     capture_events: bool,
     engine: EngineKind,
 ) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner_with(spec, threads, capture_events, None, engine)
+    run_fleet_inner(spec, threads, capture_events, None, engine)
 }
 
 /// [`run_fleet`], optionally capturing the full device-tagged event stream.
@@ -249,7 +211,7 @@ pub fn run_fleet_captured(
     threads: usize,
     capture_events: bool,
 ) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner(spec, threads, capture_events, None)
+    run_fleet_inner(spec, threads, capture_events, None, EngineKind::Scalar)
 }
 
 /// [`run_fleet_captured`] with a caller-supplied **live** metrics
@@ -276,19 +238,56 @@ pub fn run_fleet_live(
     capture_events: bool,
     live: &MetricsRegistry,
 ) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner(spec, threads, capture_events, Some(live))
+    run_fleet_inner(
+        spec,
+        threads,
+        capture_events,
+        Some(live),
+        EngineKind::Scalar,
+    )
+}
+
+/// One worker's state: its observer (and event collector), sketches, the
+/// device counter, and, under the SoA engine, its lanes.
+struct Shard {
+    obs: Observer,
+    collector: Option<SharedCollector>,
+    devices_done: Counter,
+    sketches: FleetSketches,
+    soa: Option<SoaScratch>,
+}
+
+impl Shard {
+    fn new(
+        spec: &FleetSpec,
+        live: Option<&MetricsRegistry>,
+        capture_events: bool,
+        engine: EngineKind,
+    ) -> Self {
+        let obs = match live {
+            Some(registry) => Observer::with_registry(registry.clone()),
+            None => Observer::new(),
+        };
+        let collector = capture_events.then(|| {
+            let shared = TraceCollector::shared();
+            obs.add_sink(Box::new(shared.clone()));
+            shared
+        });
+        let devices_done = obs
+            .registry()
+            .expect("fresh observer has a registry")
+            .counter("sdb_fleet_devices_total", &[]);
+        Self {
+            obs,
+            collector,
+            devices_done,
+            sketches: FleetSketches::new(),
+            soa: (engine == EngineKind::Soa).then(|| SoaScratch::new(spec.cohorts.len())),
+        }
+    }
 }
 
 fn run_fleet_inner(
-    spec: &FleetSpec,
-    threads: usize,
-    capture_events: bool,
-    live: Option<&MetricsRegistry>,
-) -> Result<(FleetReport, FleetRunStats, Option<Vec<DeviceEvent>>), String> {
-    run_fleet_inner_with(spec, threads, capture_events, live, EngineKind::Scalar)
-}
-
-fn run_fleet_inner_with(
     spec: &FleetSpec,
     threads: usize,
     capture_events: bool,
@@ -309,120 +308,60 @@ fn run_fleet_inner_with(
     // same global aggregate as sibling roots (device work is parallel to
     // the orchestrator, not "inside" its wall time).
     let prof_run = sdb_prof::scope(sdb_prof::Phase::FleetRun);
-    let next = AtomicUsize::new(0);
 
-    type Shard = (
-        Vec<DeviceOutcome>,
-        Observer,
-        FleetSketches,
-        Option<Vec<DeviceEvent>>,
-    );
-    let shards: Vec<Shard> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|shard| {
-                let next = &next;
-                s.spawn(move || {
-                    // Shard attribution is wall-clock-quarantined: the
-                    // shard → device assignment depends on the thread
-                    // count and scheduling.
-                    sdb_prof::set_shard(shard as u16);
-                    let obs = match live {
-                        Some(registry) => Observer::with_registry(registry.clone()),
-                        None => Observer::new(),
-                    };
-                    let collector = if capture_events {
-                        let shared = TraceCollector::shared();
-                        obs.add_sink(Box::new(shared.clone()));
-                        Some(shared)
-                    } else {
-                        None
-                    };
-                    let devices_done = obs
-                        .registry()
-                        .expect("fresh observer has a registry")
-                        .counter("sdb_fleet_devices_total", &[]);
-                    let mut sketches = FleetSketches::new();
-                    // SoA lane arrays are shard-local and reused across
-                    // the shard's devices.
-                    let mut soa_scratch =
-                        (engine == EngineKind::Soa).then(|| SoaScratch::new(spec.cohorts.len()));
-                    // Pre-size for the even-split case; the queue handles skew.
-                    let mut outcomes = Vec::with_capacity(spec.devices / threads + 1);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= spec.devices {
-                            break;
-                        }
-                        if let Some(c) = &collector {
-                            c.lock().expect("collector lock").set_device(i as u64);
-                        }
-                        // The observer is shared across this shard's devices;
-                        // reset the sim clock so a device's pre-step events
-                        // (t = 0 ratio pushes) aren't stamped with the
-                        // previous device's end time — which would differ by
-                        // shard layout and break trace determinism.
-                        obs.set_clock(0.0);
-                        let span = obs.span(SpanName::FleetDevice);
-                        // The device scope resets the sampling gate (hot
-                        // ticks are a function of the device, not the
-                        // worker) and flushes this device's phase tree on
-                        // drop, tagged with shard + cohort.
-                        let prof_dev = if sdb_prof::enabled() {
-                            let name = &spec.cohorts[spec.cohort_of(i as u64)].name;
-                            sdb_prof::device_scope(sdb_prof::cohort_id(name))
-                        } else {
-                            sdb_prof::device_scope(0)
-                        };
-                        let outcome = match soa_scratch.as_mut() {
-                            Some(scratch) => {
-                                crate::batch::run_device_soa(spec, i as u64, &obs, scratch)
-                            }
-                            None => run_device(spec, i as u64, &obs),
-                        };
-                        drop(prof_dev);
-                        drop(span);
-                        sketches.observe(&outcome);
-                        outcomes.push(outcome);
-                        devices_done.inc();
-                    }
-                    let events = collector.map(|c| c.lock().expect("collector lock").drain());
-                    (outcomes, obs, sketches, events)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "fleet worker panicked".to_owned()))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+    let (outcomes, shards) = shard_map(
+        spec.devices,
+        threads,
+        |_| Shard::new(spec, live, capture_events, engine),
+        |shard, i| {
+            if let Some(c) = &shard.collector {
+                c.lock().expect("collector lock").set_device(i as u64);
+            }
+            // The observer is shared across this shard's devices; reset
+            // the sim clock so a device's pre-step events (t = 0 ratio
+            // pushes) aren't stamped with the previous device's end time —
+            // which would differ by shard layout and break trace
+            // determinism.
+            shard.obs.set_clock(0.0);
+            let span = shard.obs.span(SpanName::FleetDevice);
+            // The device scope resets the sampling gate (hot ticks are a
+            // function of the device, not the worker) and flushes this
+            // device's phase tree on drop, tagged with shard + cohort.
+            let prof_dev = if sdb_prof::enabled() {
+                let name = &spec.cohorts[spec.cohort_of(i as u64)].name;
+                sdb_prof::device_scope(sdb_prof::cohort_id(name))
+            } else {
+                sdb_prof::device_scope(0)
+            };
+            let outcome = run_device(spec, i as u64, &shard.obs, shard.soa.as_mut());
+            drop(prof_dev);
+            drop(span);
+            shard.sketches.observe(&outcome);
+            shard.devices_done.inc();
+            Ok(outcome)
+        },
+    )?;
 
-    // Deterministic merge: shard order and shard contents depend on
-    // scheduling, so re-establish device order before any aggregation.
-    // Sketches merge commutatively, so shard order is irrelevant there.
+    // Deterministic merge: the outcomes come back in device order; the
+    // registries and sketches merge commutatively, so shard order is
+    // irrelevant there, and events are re-sorted by (device, seq).
     let prof_merge = sdb_prof::scope(sdb_prof::Phase::ReportMerge);
-    let mut outcomes: Vec<DeviceOutcome> = Vec::with_capacity(spec.devices);
     // In live mode every shard already wrote into the shared registry, so
     // "merging" it per shard would double-count; just adopt the handle.
     let merged = live.map_or_else(MetricsRegistry::new, MetricsRegistry::clone);
     let mut sketches = FleetSketches::new();
     let mut events: Option<Vec<DeviceEvent>> = capture_events.then(Vec::new);
-    for (shard_outcomes, obs, shard_sketches, shard_events) in shards {
-        outcomes.extend(shard_outcomes);
+    for shard in shards {
         if live.is_none() {
-            if let Some(reg) = obs.registry() {
+            if let Some(reg) = shard.obs.registry() {
                 merged.merge_from(reg);
             }
         }
-        sketches.merge_from(&shard_sketches);
-        if let (Some(all), Some(shard)) = (events.as_mut(), shard_events) {
-            all.extend(shard);
+        sketches.merge_from(&shard.sketches);
+        if let (Some(all), Some(c)) = (events.as_mut(), shard.collector) {
+            all.extend(c.lock().expect("collector lock").drain());
         }
     }
-    outcomes.sort_unstable_by_key(|o| o.device);
-    debug_assert!(outcomes
-        .iter()
-        .enumerate()
-        .all(|(i, o)| o.device == i as u64));
     if let Some(all) = events.as_mut() {
         all.sort_by_key(|e| (e.device, e.seq));
     }
@@ -447,9 +386,11 @@ fn run_fleet_inner_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CohortSpec, PackTemplate, WorkloadSpec};
+    use crate::spec::{CohortSpec, PackTemplate, PolicySpec, WorkloadSpec};
     use sdb_battery_model::chemistry::Chemistry;
     use sdb_battery_model::spec::BatterySpec;
+    use sdb_core::policy::DischargeDirective;
+    use sdb_core::scheduler::run_trace;
     use sdb_core::scheduler::SimOptions;
     use sdb_emulator::profile::ProfileKind;
     use sdb_workloads::traces::Trace;
@@ -600,11 +541,7 @@ mod tests {
         let (report, _) = run_fleet(&spec, 2).unwrap();
 
         let cohort = &spec.cohorts[0];
-        let mut builder = PackBuilder::new();
-        for slot in &cohort.pack.batteries {
-            builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
-        }
-        let mut micro = builder.build();
+        let mut micro = cohort.pack.build();
         let mut rt = SdbRuntime::new(2);
         rt.set_discharge_directive(DischargeDirective::new(0.9));
         rt.set_update_period(60.0);

@@ -9,10 +9,10 @@
 //! * [`spec`] — declarative fleet populations: weighted [`CohortSpec`]s
 //!   (pack template × workload × policy) sampled deterministically per
 //!   device from a master seed via SplitMix64 stream derivation.
-//! * [`engine`] — the parallel driver: device indices are handed out from
-//!   an atomic work queue to `std::thread::scope` workers, each running
-//!   the full `run_trace` simulation independently with a per-shard
-//!   metrics registry (no cross-thread contention on the hot path).
+//! * [`engine`] — the parallel driver: device indices are handed out by
+//!   [`sdb_core::shard_map`] to worker threads, each running the full
+//!   `run_trace` simulation independently with a per-shard metrics
+//!   registry (no cross-thread contention on the hot path).
 //! * [`report`] — the deterministic merge: outcomes are re-ordered by
 //!   device index and aggregated into a [`FleetReport`] (depletion-time
 //!   percentiles, brownout rate, loss and wear distributions, per-cohort
@@ -50,12 +50,13 @@ pub mod report;
 pub mod sketches;
 pub mod spec;
 
-pub use batch::{run_trace_soa, EngineKind};
+pub use batch::{soa_lane, EngineKind};
 pub use engine::{
     run_fleet, run_fleet_captured, run_fleet_captured_with_engine, run_fleet_live,
     run_fleet_with_engine, DeviceOutcome, FleetRunStats,
 };
 pub use report::{CohortReport, DistSummary, FleetReport};
+pub use sdb_core::scheduler::run_trace_soa;
 pub use sketches::{
     render_deltas_json, render_deltas_text, FleetSketches, SketchDelta, FLEET_SKETCH_ALPHA,
 };

@@ -10,8 +10,13 @@
 use sdb_battery_model::chemistry::Chemistry;
 use sdb_battery_model::library;
 use sdb_battery_model::spec::BatterySpec;
+use sdb_core::policy::{DischargeDirective, PreservePolicy};
+use sdb_core::runtime::SdbRuntime;
 use sdb_core::scheduler::SimOptions;
+use sdb_emulator::micro::Microcontroller;
+use sdb_emulator::pack::PackBuilder;
 use sdb_emulator::profile::ProfileKind;
+use sdb_policy::{HistoryForecaster, Planner, PlannerConfig};
 use sdb_rng::{derive_seed, DetRng};
 use sdb_workloads::traces::Trace;
 use sdb_workloads::Activity;
@@ -20,6 +25,14 @@ use std::sync::Arc;
 /// Stream-salt so cohort assignment draws are decorrelated from the
 /// device's own simulation stream.
 const COHORT_SALT: u64 = 0xC0C0_57A7_5DB0_F1EE;
+
+/// Seed offset separating a planned policy's forecast warm-up days from
+/// the evaluated trace, so planners train on the device's *habit*, never
+/// on the day being judged.
+const PLANNER_HISTORY_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// How many previous days a planned policy's forecaster folds in.
+const PLANNER_HISTORY_DAYS: u64 = 7;
 
 /// One battery slot of a pack template.
 #[derive(Debug, Clone)]
@@ -55,6 +68,17 @@ impl PackTemplate {
                 })
                 .collect(),
         }
+    }
+
+    /// Instantiates the template as a fresh pack. The builder takes the
+    /// `Arc`'d specs directly, so no per-device spec copy is made.
+    #[must_use]
+    pub fn build(&self) -> Microcontroller {
+        let mut builder = PackBuilder::new();
+        for slot in &self.batteries {
+            builder = builder.battery_at(slot.spec.clone(), slot.initial_soc, slot.profile);
+        }
+        builder.build()
     }
 
     /// The same pack shape with each slot's chemistry substituted: slot
@@ -242,6 +266,71 @@ pub enum PolicySpec {
     Oracle,
 }
 
+impl PolicySpec {
+    /// Installs the policy on a device's `runtime`. Greedy policies set
+    /// the runtime's directive and return `None`. Planner policies leave
+    /// it alone and return the device's planner: the planned forecaster
+    /// warms up on previous days of the device's `workload` family
+    /// (derived from its `seed`), the oracle plans over its own `trace`.
+    /// `update_period_s` is the runtime's policy re-evaluation period,
+    /// which the planner's rollouts reproduce.
+    #[must_use]
+    pub fn install(
+        self,
+        runtime: &mut SdbRuntime,
+        workload: &WorkloadSpec,
+        seed: u64,
+        trace: &Arc<Trace>,
+        update_period_s: f64,
+    ) -> Option<Planner> {
+        match self {
+            Self::Blend(v) => {
+                runtime.set_discharge_directive(DischargeDirective::new(v));
+                None
+            }
+            Self::Preserve {
+                efficient,
+                inefficient,
+                threshold_w,
+            } => {
+                runtime.set_preserve(Some(PreservePolicy::new(
+                    efficient,
+                    inefficient,
+                    threshold_w,
+                )));
+                None
+            }
+            Self::Planned {
+                horizon_s,
+                replan_s,
+            } => {
+                let history: Vec<Arc<Trace>> = (1..=PLANNER_HISTORY_DAYS)
+                    .map(|k| {
+                        workload.build(seed.wrapping_add(k.wrapping_mul(PLANNER_HISTORY_SALT)))
+                    })
+                    .collect();
+                let forecaster =
+                    HistoryForecaster::from_history(history.iter().map(Arc::as_ref), 0.3);
+                let cfg = PlannerConfig {
+                    horizon_s,
+                    replan_period_s: replan_s,
+                    update_period_s,
+                    ..PlannerConfig::default()
+                };
+                Some(Planner::new(cfg, Box::new(forecaster)))
+            }
+            Self::Oracle => {
+                let cfg = PlannerConfig {
+                    candidates: 17,
+                    update_period_s,
+                    ..PlannerConfig::default()
+                };
+                Some(Planner::oracle(cfg, Arc::clone(trace)))
+            }
+        }
+    }
+}
+
 /// One weighted cohort of the fleet.
 #[derive(Debug, Clone)]
 pub struct CohortSpec {
@@ -359,7 +448,8 @@ impl FleetSpec {
     }
 
     /// Validates the spec: at least one device and one cohort, positive
-    /// total weight, valid per-cohort fields.
+    /// total weight, valid per-cohort fields (including finite, positive
+    /// truncation bounds).
     ///
     /// # Errors
     ///
@@ -392,6 +482,16 @@ impl FleetSpec {
                     "cohort `{}` has non-positive update period",
                     c.name
                 ));
+            }
+            let mut workload = &c.workload;
+            while let WorkloadSpec::Truncated { inner, max_s } = workload {
+                if !(max_s.is_finite() && *max_s > 0.0) {
+                    return Err(format!(
+                        "cohort `{}` has truncation bound {max_s} s (must be finite and positive)",
+                        c.name
+                    ));
+                }
+                workload = inner;
             }
         }
         Ok(())
@@ -491,6 +591,17 @@ mod tests {
         let mut spec = FleetSpec::default_population(10, 1);
         spec.cohorts[0].update_period_s = 0.0;
         assert!(spec.validate().is_err());
+
+        // The truncation horizon must be finite and positive.
+        for hours in [f64::NAN, f64::INFINITY, -5.0, 0.0] {
+            let spec = FleetSpec::default_population(10, 1).with_hours(hours);
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("truncation bound"), "hours {hours}: {err}");
+        }
+        assert!(FleetSpec::default_population(10, 1)
+            .with_hours(0.5)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //! sdb --version                              print version, git hash, and rustc used
 //! ```
 
-use sdb::battery_model::{library, BatterySpec, Chemistry};
+use sdb::battery_model::{BatterySpec, Chemistry};
 use sdb::core::policy::{ChargeDirective, DischargeDirective, PreservePolicy};
 use sdb::core::runtime::SdbRuntime;
 use sdb::core::scheduler::run_trace_planned;
 use sdb::core::scheduler::{run_charge_session, run_trace, SimOptions};
-use sdb::emulator::{acpi, Microcontroller, PackBuilder, ProfileKind};
+use sdb::emulator::{acpi, Microcontroller, ProfileKind};
 use sdb::fleet;
 use sdb::observe::{MetricsRegistry, Observer, TraceCollector};
 use sdb::policy::{HistoryForecaster, Planner, PlannerConfig};
@@ -102,58 +102,24 @@ fn emit(text: &str) {
 }
 
 fn build_pack(name: &str, soc: f64) -> Option<Microcontroller> {
-    let pack = match name {
-        "watch" => PackBuilder::new()
-            .battery_at(
-                library::watch_li_ion().spec().clone(),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                library::watch_bendable().spec().clone(),
-                soc,
-                ProfileKind::Gentle,
-            )
-            .build(),
-        "tablet-hybrid" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("fast-charge", Chemistry::Type3CoPower, 4.0),
-                soc,
-                ProfileKind::Fast,
-            )
-            .build(),
-        "two-in-one" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("internal", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("external", Chemistry::Type2CoStandard, 4.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .build(),
-        "phone" => PackBuilder::new()
-            .battery_at(
-                BatterySpec::from_chemistry("high-energy", Chemistry::Type2CoStandard, 3.0),
-                soc,
-                ProfileKind::Standard,
-            )
-            .battery_at(
-                BatterySpec::from_chemistry("high-power", Chemistry::Type3CoPower, 1.0),
-                soc,
-                ProfileKind::Fast,
-            )
-            .build(),
+    let mut template = match name {
+        "watch" => fleet::PackTemplate::watch(),
+        "tablet-hybrid" => fleet::PackTemplate::tablet_hybrid(),
+        "phone" => fleet::PackTemplate::phone(),
+        "two-in-one" => fleet::PackTemplate::new(
+            ["internal", "external"]
+                .map(|name| {
+                    let spec = BatterySpec::from_chemistry(name, Chemistry::Type2CoStandard, 4.0);
+                    (spec, soc, ProfileKind::Standard)
+                })
+                .to_vec(),
+        ),
         _ => return None,
     };
-    Some(pack)
+    for slot in &mut template.batteries {
+        slot.initial_soc = soc;
+    }
+    Some(template.build())
 }
 
 fn build_trace(name: &str, seed: u64) -> Option<Trace> {
